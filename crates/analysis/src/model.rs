@@ -5,7 +5,7 @@ use ktrace_core::TraceLogger;
 use ktrace_events::decode::{sched_events, SchedEv};
 use ktrace_format::{EventRegistry, MajorId};
 use ktrace_io::{IoError, TraceFileReader};
-use ktrace_query::{QueryError, TraceSource};
+use ktrace_query::{EventSet, QueryError, TraceSource};
 use std::collections::HashMap;
 use std::path::Path;
 
@@ -35,13 +35,14 @@ impl Trace {
         }
     }
 
-    /// Loads a trace file.
+    /// Loads a trace file through the strict reader's bulk path.
     pub fn from_file(path: impl AsRef<Path>) -> Result<Trace, IoError> {
-        let mut reader = TraceFileReader::open(path)?;
-        let registry = reader.header().registry.clone();
-        let tps = reader.header().ticks_per_sec;
-        let events: Vec<RawEvent> = reader.events()?.collect();
-        Ok(Trace::from_events(events, registry, tps))
+        let set = EventSet::read(&mut TraceFileReader::open(path)?, None)?;
+        Ok(Trace::from_events(
+            set.events,
+            set.registry,
+            set.ticks_per_sec,
+        ))
     }
 
     /// Snapshots a live logger (flight-recorder style).

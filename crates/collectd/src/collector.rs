@@ -1,9 +1,12 @@
 //! The aggregation service: accept, shard, account, store.
 //!
 //! One reader thread per connection parses the stream into whole records
-//! and hands each to a store worker over a **bounded** queue. A node always
-//! hashes to the same worker, so its records are stored in arrival order
-//! with no cross-worker contention. When a queue is full the record is
+//! and hands each to a store worker over a **bounded** queue. The reader
+//! learns what it accounts for (data-event count, HEARTBEAT payloads) from
+//! a header-only [`BufferWalk`] over a word buffer it reuses: it builds no
+//! event, and the record's bytes move into the queued job uncopied. A node
+//! always hashes to the same worker, so its records are stored in arrival
+//! order with no cross-worker contention. When a queue is full the record is
 //! **dropped and counted** — backpressure reaches the node's accounting,
 //! never its socket, so a slow disk cannot wedge the fleet (the same
 //! degrade-don't-wedge contract as the session drainer in
@@ -18,7 +21,7 @@ use crate::proto;
 use crate::scrape;
 use crate::store::NodeStore;
 use ktrace_adapt::{Anomaly, Detector};
-use ktrace_core::parse_buffer;
+use ktrace_core::BufferWalk;
 use ktrace_format::ids::control;
 use ktrace_io::file::{decode_record_header, RECORD_HEADER_BYTES};
 use ktrace_io::FileHeader;
@@ -403,6 +406,20 @@ fn shard_of(name: &str, shards: usize) -> usize {
     (h % shards as u64) as usize
 }
 
+/// A record's data-event count, from a header-only walk of its words;
+/// `heartbeat` sees each HEARTBEAT payload on the way. Builds no event.
+fn account_record<'a>(words: &'a [u64], mut heartbeat: impl FnMut(&'a [u64])) -> u64 {
+    let mut data_events = 0;
+    for e in BufferWalk::new(words, None) {
+        if !e.is_control() {
+            data_events += 1;
+        } else if e.minor == control::HEARTBEAT {
+            heartbeat(e.payload);
+        }
+    }
+    data_events
+}
+
 /// One connection, hello to EOF.
 fn serve_connection(conn: TcpStream, shared: &Shared, senders: &[SyncSender<StoreJob>]) {
     let mut r = PatientReader {
@@ -438,6 +455,7 @@ fn serve_connection(conn: TcpStream, shared: &Shared, senders: &[SyncSender<Stor
     let header_bytes = Arc::new(header_bytes);
 
     let mut buf = vec![0u8; record_size];
+    let mut words: Vec<u64> = Vec::with_capacity(header.buffer_words as usize);
     while let Ok(got) = read_up_to(&mut r, &mut buf) {
         if got == 0 {
             break; // clean EOF (or shutdown)
@@ -447,25 +465,22 @@ fn serve_connection(conn: TcpStream, shared: &Shared, senders: &[SyncSender<Stor
                 .fetch_add(got as u64, Ordering::Relaxed);
             break;
         }
-        let Ok((cpu, seq, _complete)) = decode_record_header(&buf, 0) else {
+        if decode_record_header(&buf, 0).is_err() {
             // Desynced: without record alignment nothing downstream is
             // trustworthy. Abandon the connection, visibly.
             node.records_garbled.fetch_add(1, Ordering::Relaxed);
             break;
-        };
-        // Parse once, here: exact event accounting for the drop path and
-        // heartbeat capture for health, whatever the store decides.
-        let words: Vec<u64> = buf[RECORD_HEADER_BYTES..]
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte chunk")))
-            .collect();
-        let parsed = parse_buffer(cpu as usize, seq, &words, None);
-        let data_events = parsed.data_events().count() as u64;
-        for e in &parsed.events {
-            if e.is_control() && e.minor == control::HEARTBEAT {
-                node.note_heartbeat(&e.payload);
-            }
         }
+        // Walk once, here: exact event accounting for the drop path and
+        // heartbeat capture for health, whatever the store decides. Only
+        // headers are decoded; no event is built.
+        words.clear();
+        words.extend(
+            buf[RECORD_HEADER_BYTES..]
+                .chunks_exact(8)
+                .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte chunk"))),
+        );
+        let data_events = account_record(&words, |beat| node.note_heartbeat(beat));
         node.records_received.fetch_add(1, Ordering::Relaxed);
         node.events_received
             .fetch_add(data_events, Ordering::Relaxed);
@@ -474,7 +489,7 @@ fn serve_connection(conn: TcpStream, shared: &Shared, senders: &[SyncSender<Stor
             node: node.clone(),
             header_bytes: header_bytes.clone(),
             record_size,
-            bytes: buf.clone(),
+            bytes: std::mem::replace(&mut buf, vec![0u8; record_size]),
             data_events,
         };
         match tx.try_send(job) {
@@ -485,6 +500,7 @@ fn serve_connection(conn: TcpStream, shared: &Shared, senders: &[SyncSender<Stor
                 job.node
                     .events_dropped
                     .fetch_add(job.data_events, Ordering::Relaxed);
+                buf = job.bytes;
             }
             Err(TrySendError::Disconnected(_)) => break,
         }
@@ -723,7 +739,40 @@ mod tests {
     use ktrace_core::TraceConfig;
     use ktrace_format::MajorId;
     use ktrace_io::{TraceFileReader, TraceSession};
-    use ktrace_testutil::TempDir;
+    use ktrace_testutil::{random_trace, TempDir};
+
+    #[test]
+    fn header_only_accounting_matches_parse_buffer() {
+        let (mut records, mut beats_seen) = (0, 0);
+        for seed in 0..6 {
+            let bytes = random_trace(seed, 1 + seed as usize % 3, 2500);
+            let mut r = TraceFileReader::new(std::io::Cursor::new(bytes)).unwrap();
+            for k in 0..r.record_count() {
+                let rec = r.record(k).unwrap();
+                let parsed = ktrace_core::parse_buffer(rec.cpu as usize, rec.seq, &rec.words, None);
+                let want_beats: Vec<&[u64]> = parsed
+                    .events
+                    .iter()
+                    .filter(|e| e.is_control() && e.minor == control::HEARTBEAT)
+                    .map(|e| &e.payload[..])
+                    .collect();
+                let mut beats = Vec::new();
+                let data = account_record(&rec.words, |b| beats.push(b));
+                assert_eq!(
+                    data,
+                    parsed.data_events().count() as u64,
+                    "seed {seed} record {k}"
+                );
+                assert_eq!(beats, want_beats, "seed {seed} record {k}");
+                records += 1;
+                beats_seen += beats.len();
+            }
+        }
+        assert!(
+            records > 100 && beats_seen > 10,
+            "{records} records, {beats_seen} beats"
+        );
+    }
 
     #[test]
     fn one_node_round_trips_through_the_store() {

@@ -16,6 +16,7 @@
 //! +-------------------------------------------------------------+
 //! ```
 
+use ktrace_io::file::{FIXED_HEADER_BYTES, REGISTRY_LEN_OFFSET};
 use std::io::{Error, ErrorKind, Read, Write};
 
 /// Identifies a collector hello frame.
@@ -27,14 +28,6 @@ pub const MAX_NODE_NAME: usize = 128;
 /// Registry-text cap when reading a stream header; a hostile or desynced
 /// peer cannot make the collector allocate unboundedly.
 pub const MAX_REGISTRY_BYTES: usize = 16 * 1024 * 1024;
-
-/// Bytes of the trace header before the registry text (see
-/// `ktrace_io::file`): magic 8, version 4, flags 4, ncpus 4, buffer_words
-/// 4, ticks_per_sec 8, registry_bytes 8.
-const FIXED_HEADER_BYTES: usize = 40;
-
-/// Byte offset of the `registry_bytes` u64 within the fixed header.
-const REGISTRY_LEN_OFFSET: usize = 32;
 
 /// True if `name` is usable as both a wire identity and a store directory
 /// name: 1–[`MAX_NODE_NAME`] bytes of `[A-Za-z0-9._-]`, not starting with

@@ -2,16 +2,17 @@
 //! store, so every assertion in `props/ktrace.toml` runs unchanged against
 //! fleet data — per node, or fleet-wide merged.
 //!
-//! Every shard is a valid trace file, so loading is just the strict reader
-//! over each shard; [`EventSet::new`] re-normalizes the cross-shard (and
-//! cross-node) stream into the canonical `(time, cpu, seq, offset)` order —
-//! the same contract every other source honors. Windowed loads use each
-//! shard's §3.2 time anchors ([`TraceFileReader::events_between`]), so a
-//! narrow question touches only the records that can answer it, shard by
-//! shard.
+//! Every shard is a valid trace file, so loading is just the strict
+//! reader's bulk path ([`TraceFileReader::load_into`]) over each shard,
+//! appending one time-ordered run per (shard, CPU) to a single `Vec`;
+//! [`EventSet::new`] merges those runs into the canonical
+//! `(time, cpu, seq, offset)` order — the same contract every other source
+//! honors — with ties between nodes left in shard order. Windowed loads use
+//! each shard's §3.2 time anchors, so a narrow question touches only the
+//! records that can answer it, shard by shard, and copies out only the
+//! events inside the window. A shard that fails to read fails the load.
 
 use crate::store;
-use ktrace_core::reader::RawEvent;
 use ktrace_format::EventRegistry;
 use ktrace_io::TraceFileReader;
 use ktrace_query::{EventSet, QueryError, TraceSource};
@@ -65,15 +66,10 @@ impl CollectSource {
         Ok(shards)
     }
 
-    /// Reads the selected shards through `read`, merging registries (the
-    /// richest wins — nodes may register different app events) and taking
-    /// the clock rate from the first shard.
-    fn load_with(
-        &self,
-        mut read: impl FnMut(
-            &mut TraceFileReader<std::io::BufReader<std::fs::File>>,
-        ) -> Result<Vec<RawEvent>, QueryError>,
-    ) -> Result<EventSet, QueryError> {
+    /// Reads the selected shards' events (all, or those in `window`),
+    /// merging registries (the richest wins — nodes may register different
+    /// app events) and taking the clock rate from the first shard.
+    fn load_with(&self, window: Option<(u64, u64)>) -> Result<EventSet, QueryError> {
         let mut events = Vec::new();
         let mut registry = EventRegistry::new();
         let mut ticks_per_sec = 0u64;
@@ -85,7 +81,7 @@ impl CollectSource {
             if ticks_per_sec == 0 {
                 ticks_per_sec = reader.header().ticks_per_sec;
             }
-            events.extend(read(&mut reader)?);
+            reader.load_into(window, &mut events)?;
         }
         Ok(EventSet::new(events, registry, ticks_per_sec))
     }
@@ -100,11 +96,11 @@ impl TraceSource for CollectSource {
     }
 
     fn load(&mut self) -> Result<EventSet, QueryError> {
-        self.load_with(|reader| Ok(reader.events()?.collect()))
+        self.load_with(None)
     }
 
     fn load_window(&mut self, t0: u64, t1: u64) -> Result<EventSet, QueryError> {
-        self.load_with(|reader| Ok(reader.events_between(t0, t1)?))
+        self.load_with(Some((t0, t1)))
     }
 }
 

@@ -2,11 +2,21 @@
 //!
 //! Because events never cross buffer boundaries, a reader can start at any
 //! alignment point of a large trace and interpret forward (§3.2's "random
-//! access" property). [`parse_buffer`] walks one buffer: it reconstructs full
-//! 64-bit timestamps from the buffer's time anchor, validates the event
-//! chain, and reports every anomaly (zero headers, overruns, missing anchors,
-//! timestamp regressions) as [`GarbleNote`]s instead of failing — "with high
-//! probability … errors can be detected by the post-processing tools" (§3.1).
+//! access" property). [`BufferWalk`] is the one decode loop: it walks one
+//! buffer, reconstructs full 64-bit timestamps from the buffer's time
+//! anchor, validates the event chain, and reports every anomaly (zero
+//! headers, overruns, missing anchors, timestamp regressions) as
+//! [`GarbleNote`]s instead of failing — "with high probability … errors can
+//! be detected by the post-processing tools" (§3.1).
+//!
+//! The walk borrows: each [`EventRef`] points its payload into the buffer
+//! words, so a consumer that only counts events or keeps a few of them
+//! allocates nothing per event. [`parse_buffer`] is the walk plus a copy of
+//! every event into an owned [`RawEvent`], for callers that keep them all.
+//! Owned events keep their payload on the heap: an inline fixed-size payload
+//! was tried and rejected, because it grew `RawEvent` from 64 to 88 bytes
+//! and made every sort and move of a loaded trace slower than the
+//! allocations it saved.
 
 use ktrace_clock::WrapExtender;
 use ktrace_format::{EventHeader, MajorId, MinorId};
@@ -103,66 +113,160 @@ impl ParsedBuffer {
     }
 }
 
-/// Decodes the words of buffer `seq` from `cpu`'s region.
-///
-/// `time_hint` supplies an approximate full timestamp (e.g. the previous
-/// buffer's `end_time`) used when the buffer's own anchor is missing or
-/// damaged.
-pub fn parse_buffer(cpu: usize, seq: u64, words: &[u64], time_hint: Option<u64>) -> ParsedBuffer {
-    let mut events = Vec::new();
-    let mut notes = Vec::new();
-    let mut filler_words = 0usize;
-    let mut extender: Option<WrapExtender> = None;
-    let mut off = 0usize;
+/// One event viewed in place: the decoded header, the reconstructed time,
+/// and the payload borrowed from the buffer words. [`BufferWalk`] yields
+/// these; [`EventRef::to_raw`] copies one out when a caller keeps it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EventRef<'a> {
+    /// Word offset of the header within the buffer.
+    pub offset: usize,
+    /// Reconstructed full 64-bit timestamp (clock ticks).
+    pub time: u64,
+    /// The raw 32-bit stamp from the header.
+    pub ts32: u32,
+    /// Major ID.
+    pub major: MajorId,
+    /// Minor ID.
+    pub minor: MinorId,
+    /// Payload words, borrowed from the buffer.
+    pub payload: &'a [u64],
+}
 
-    while off < words.len() {
-        let header = match EventHeader::decode(words[off]) {
-            Ok(h) => h,
-            Err(_) => {
-                notes.push(GarbleNote::ZeroHeader { offset: off });
-                break;
-            }
+impl EventRef<'_> {
+    /// True for any tracing-infrastructure control event.
+    #[inline]
+    pub fn is_control(&self) -> bool {
+        self.major == MajorId::CONTROL
+    }
+
+    /// An owned copy, tagged with the buffer's CPU and sequence number.
+    #[inline]
+    pub fn to_raw(&self, cpu: usize, seq: u64) -> RawEvent {
+        RawEvent {
+            cpu,
+            seq,
+            offset: self.offset,
+            time: self.time,
+            ts32: self.ts32,
+            major: self.major,
+            minor: self.minor,
+            payload: self.payload.to_vec(),
+        }
+    }
+}
+
+/// The one decode loop: a walk over a buffer's words that allocates
+/// nothing per event (only a note per anomaly).
+///
+/// Each step decodes a header, rebuilds the 64-bit time from the buffer's
+/// anchor (or `time_hint` when the anchor is missing), and yields the event
+/// with its payload borrowed. Anomalies accumulate as [`GarbleNote`]s; a
+/// zero header or an overrun ends the walk. After the walk,
+/// [`into_notes`](BufferWalk::into_notes),
+/// [`end_time`](BufferWalk::end_time) and
+/// [`filler_words`](BufferWalk::filler_words) report what
+/// [`parse_buffer`] reports, which is this walk plus a copy per event.
+#[derive(Debug)]
+pub struct BufferWalk<'a> {
+    words: &'a [u64],
+    off: usize,
+    extender: Option<WrapExtender>,
+    time_hint: Option<u64>,
+    notes: Vec<GarbleNote>,
+    filler_words: usize,
+    end_time: Option<u64>,
+}
+
+impl<'a> BufferWalk<'a> {
+    /// Starts a walk over one buffer's words. `time_hint` supplies an
+    /// approximate full timestamp (e.g. the previous buffer's `end_time`)
+    /// used when the buffer's own anchor is missing or damaged.
+    #[inline]
+    pub fn new(words: &'a [u64], time_hint: Option<u64>) -> BufferWalk<'a> {
+        BufferWalk {
+            words,
+            off: 0,
+            extender: None,
+            time_hint,
+            notes: Vec::new(),
+            filler_words: 0,
+            end_time: None,
+        }
+    }
+
+    /// The anomalies, consuming the walk.
+    pub fn into_notes(self) -> Vec<GarbleNote> {
+        self.notes
+    }
+
+    /// The time of the last event yielded, to hint the next buffer.
+    pub fn end_time(&self) -> Option<u64> {
+        self.end_time
+    }
+
+    /// Words covered by the filler events yielded so far.
+    pub fn filler_words(&self) -> usize {
+        self.filler_words
+    }
+
+    /// Ends the walk after an anomaly that makes the rest undecodable.
+    #[cold]
+    fn stop(&mut self, note: GarbleNote) -> Option<EventRef<'a>> {
+        self.notes.push(note);
+        self.off = self.words.len();
+        None
+    }
+}
+
+impl<'a> Iterator for BufferWalk<'a> {
+    type Item = EventRef<'a>;
+
+    #[inline]
+    fn next(&mut self) -> Option<EventRef<'a>> {
+        let (words, off) = (self.words, self.off);
+        let &word = words.get(off)?;
+        let Ok(header) = EventHeader::decode(word) else {
+            return self.stop(GarbleNote::ZeroHeader { offset: off });
         };
         let len = header.len_words as usize;
         if off + len > words.len() {
-            notes.push(GarbleNote::Overrun {
+            return self.stop(GarbleNote::Overrun {
                 offset: off,
                 len_words: len,
             });
-            break;
         }
-        let payload = words[off + 1..off + len].to_vec();
+        let payload = &words[off + 1..off + len];
 
         // A time anchor re-seeds the extender with the full 64-bit time.
         if header.is_time_anchor() && !payload.is_empty() {
             let full = payload[0];
-            match &mut extender {
+            match &mut self.extender {
                 Some(e) => {
                     if full < e.last() {
-                        notes.push(GarbleNote::NonMonotonic { offset: off });
+                        self.notes.push(GarbleNote::NonMonotonic { offset: off });
                     }
                     e.reseed(full);
                 }
-                None => extender = Some(WrapExtender::new(full)),
+                None => self.extender = Some(WrapExtender::new(full)),
             }
         } else if off == 0 {
-            notes.push(GarbleNote::MissingAnchor);
+            self.notes.push(GarbleNote::MissingAnchor);
         }
 
-        let time = match &mut extender {
+        let time = match &mut self.extender {
             Some(e) => {
                 let prev = e.last();
                 let t = e.extend(header.timestamp);
                 if t < prev {
-                    notes.push(GarbleNote::NonMonotonic { offset: off });
+                    self.notes.push(GarbleNote::NonMonotonic { offset: off });
                 }
                 t
             }
-            None => match time_hint {
+            None => match self.time_hint {
                 Some(hint) => {
                     let mut e = WrapExtender::new(hint);
                     let t = e.extend(header.timestamp);
-                    extender = Some(e);
+                    self.extender = Some(e);
                     t
                 }
                 None => header.timestamp as u64,
@@ -170,27 +274,53 @@ pub fn parse_buffer(cpu: usize, seq: u64, words: &[u64], time_hint: Option<u64>)
         };
 
         if header.is_filler() {
-            filler_words += len;
+            self.filler_words += len;
         }
-        events.push(RawEvent {
-            cpu,
-            seq,
+        self.off = off + len;
+        self.end_time = Some(time);
+        Some(EventRef {
             offset: off,
             time,
             ts32: header.timestamp,
             major: header.major,
             minor: header.minor,
             payload,
-        });
-        off += len;
+        })
     }
+}
 
-    let end_time = events.last().map(|e| e.time);
+/// The full time of the anchor a buffer starts with, if [`BufferWalk`]
+/// would accept it as one. `prefix` holds the buffer's first words (two
+/// suffice) and `buffer_words` its length. Lets an index read three words
+/// per record instead of the record.
+pub fn leading_anchor(prefix: &[u64], buffer_words: usize) -> Option<u64> {
+    let header = EventHeader::decode(*prefix.first()?).ok()?;
+    let len = header.len_words as usize;
+    if header.is_time_anchor() && len >= 2 && len <= buffer_words {
+        prefix.get(1).copied()
+    } else {
+        None
+    }
+}
+
+/// Decodes the words of buffer `seq` from `cpu`'s region into owned
+/// events: a [`BufferWalk`] that copies every event out.
+///
+/// `time_hint` supplies an approximate full timestamp (e.g. the previous
+/// buffer's `end_time`) used when the buffer's own anchor is missing or
+/// damaged.
+pub fn parse_buffer(cpu: usize, seq: u64, words: &[u64], time_hint: Option<u64>) -> ParsedBuffer {
+    let mut walk = BufferWalk::new(words, time_hint);
+    // A push loop: `collect` over the walk measured slower here.
+    let mut events = Vec::new();
+    for e in walk.by_ref() {
+        events.push(e.to_raw(cpu, seq));
+    }
     ParsedBuffer {
         events,
-        notes,
-        filler_words,
-        end_time,
+        filler_words: walk.filler_words(),
+        end_time: walk.end_time(),
+        notes: walk.into_notes(),
     }
 }
 
@@ -310,6 +440,40 @@ mod tests {
         assert_eq!(p.filler_words, 5);
         assert_eq!(p.data_events().count(), 1);
         assert!(p.events.iter().any(|e| e.is_filler()));
+    }
+
+    #[test]
+    fn walk_borrows_what_parse_buffer_copies() {
+        let mut words = anchor(0x7_0000_0010, 1);
+        words.extend(event(0x0000_0020, MajorId::TEST, 1, &[4, 5, 6]));
+        words.push(0); // unwritten reservation ends the walk
+        words.extend(event(0x0000_0030, MajorId::TEST, 2, &[]));
+        let parsed = parse_buffer(1, 9, &words, None);
+        let mut walk = BufferWalk::new(&words, None);
+        let owned: Vec<RawEvent> = walk.by_ref().map(|e| e.to_raw(1, 9)).collect();
+        assert_eq!(owned, parsed.events);
+        assert!(walk.next().is_none(), "a stopped walk stays stopped");
+        assert_eq!(walk.end_time(), parsed.end_time);
+        assert_eq!(walk.filler_words(), parsed.filler_words);
+        assert_eq!(walk.into_notes(), parsed.notes);
+        let second = BufferWalk::new(&words, None).nth(1).unwrap();
+        assert_eq!(second.payload, &[4, 5, 6]);
+        assert!(std::ptr::eq(second.payload.as_ptr(), &words[4]));
+    }
+
+    #[test]
+    fn leading_anchor_agrees_with_the_walk() {
+        let words = anchor(0x3_0000_0000, 0);
+        assert_eq!(leading_anchor(&words, 64), Some(0x3_0000_0000));
+        // A bare anchor header carries no time; neither accepts it.
+        let bare = EventHeader::new(1, 0, MajorId::CONTROL, control::TIME_ANCHOR).unwrap();
+        assert_eq!(leading_anchor(&[bare.encode(), 5], 64), None);
+        let p = parse_buffer(0, 0, &[bare.encode()], None);
+        assert!(p.notes.contains(&GarbleNote::MissingAnchor));
+        // Neither does one that runs past the buffer.
+        assert_eq!(leading_anchor(&words, 2), None);
+        assert_eq!(leading_anchor(&event(1, MajorId::TEST, 1, &[9]), 64), None);
+        assert_eq!(leading_anchor(&[0, 0], 64), None);
     }
 
     #[test]

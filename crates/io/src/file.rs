@@ -34,6 +34,13 @@ pub const FILE_VERSION: u32 = 1;
 /// Per-record magic guarding against corrupt offsets.
 pub const RECORD_MAGIC: u32 = 0xB0F4_0001;
 
+/// Bytes of the file header before the registry text: magic 8, version 4,
+/// flags 4, ncpus 4, buffer_words 4, ticks_per_sec 8, registry_bytes 8.
+pub const FIXED_HEADER_BYTES: usize = 40;
+
+/// Byte offset of the `registry_bytes` u64 within the fixed header.
+pub const REGISTRY_LEN_OFFSET: usize = 32;
+
 /// Fixed bytes before each record's buffer words.
 pub const RECORD_HEADER_BYTES: usize = 4 + 4 + 8 + 8;
 
@@ -67,7 +74,7 @@ impl FileHeader {
     /// Encodes the header (including the registry text).
     pub fn encode(&self) -> Vec<u8> {
         let registry_text = self.registry.to_text();
-        let mut out = Vec::with_capacity(40 + registry_text.len());
+        let mut out = Vec::with_capacity(FIXED_HEADER_BYTES + registry_text.len());
         out.put_slice(&FILE_MAGIC);
         out.put_u32_le(FILE_VERSION);
         out.put_u32_le(if self.clock_synchronized {
@@ -87,7 +94,7 @@ impl FileHeader {
     /// number of bytes it occupied.
     pub fn decode(mut bytes: &[u8]) -> Result<(FileHeader, usize), IoError> {
         let total = bytes.len();
-        if bytes.len() < 8 + 4 + 4 + 4 + 4 + 8 + 8 {
+        if bytes.len() < FIXED_HEADER_BYTES {
             return Err(IoError::BadHeader("file shorter than fixed header"));
         }
         let mut magic = [0u8; 8];

@@ -14,9 +14,11 @@
 //!   realization of the paper's alignment-boundary random access.
 //! * [`writer`] — a streaming [`TraceFileWriter`] fed by the core consumer.
 //! * [`reader`] — [`TraceFileReader`]: random record access, a cheap
-//!   time index built from each buffer's anchor, time-windowed reads, and
-//!   per-record garble reporting.
-//! * [`merge`] — a k-way, timestamp-ordered merge of per-CPU event streams.
+//!   time index built from each buffer's anchor, the bulk full and windowed
+//!   load that copies out only the events it keeps, and per-record garble
+//!   reporting.
+//! * [`merge`] — the streaming path: a k-way, timestamp-ordered merge of
+//!   per-CPU event streams.
 //! * [`salvage`] — the forgiving reader: walks arbitrarily damaged byte
 //!   images, re-anchors on record magic, and recovers every event outside
 //!   the corrupt extents with a typed [`SalvageReport`].

@@ -1,9 +1,15 @@
-//! Timestamp-ordered merge of per-CPU event streams.
+//! Timestamp-ordered merge of per-CPU event streams: the streaming path.
 //!
 //! Each CPU's records are internally time-ordered (the reservation loop
 //! guarantees it), so a global view is a k-way merge. Records are parsed
-//! lazily, one per CPU at a time, so merging a huge file streams instead of
-//! loading everything.
+//! lazily into owned events, one per CPU at a time, so merging a huge file
+//! streams instead of loading everything. A caller that keeps the whole
+//! trace anyway uses the bulk path,
+//! [`TraceFileReader::load_into`](crate::TraceFileReader::load_into), which
+//! copies out only the events it keeps, leaves the merge to one stable
+//! sort, and fails on an I/O error; this merge stays the reference the bulk
+//! path is tested against. Here an I/O error mid-stream ends the stream and
+//! is kept for [`MergedEvents::io_error`].
 
 use crate::error::IoError;
 use crate::reader::TraceFileReader;
@@ -28,6 +34,9 @@ pub struct MergedEvents<'a, R: Read + Seek> {
     reader: &'a mut TraceFileReader<R>,
     cursors: Vec<CpuCursor>,
     error: Option<IoError>,
+    /// One record's bytes and words, reused for every record read.
+    bytes: Vec<u8>,
+    words: Vec<u64>,
 }
 
 impl<'a, R: Read + Seek> MergedEvents<'a, R> {
@@ -46,6 +55,7 @@ impl<'a, R: Read + Seek> MergedEvents<'a, R> {
                 per_cpu[cpu as usize].push_back(k);
             }
         }
+        let record_size = reader.header().record_size();
         let mut merged = MergedEvents {
             reader,
             cursors: per_cpu
@@ -58,6 +68,8 @@ impl<'a, R: Read + Seek> MergedEvents<'a, R> {
                 })
                 .collect(),
             error: None,
+            bytes: vec![0u8; record_size],
+            words: Vec::new(),
         };
         for cpu in 0..merged.cursors.len() {
             merged.advance(cpu)?;
@@ -82,13 +94,10 @@ impl<'a, R: Read + Seek> MergedEvents<'a, R> {
                 self.cursors[cpu].peeked = None;
                 return Ok(());
             };
-            let rec = self.reader.record(k)?;
-            let parsed = parse_buffer(
-                rec.cpu as usize,
-                rec.seq,
-                &rec.words,
-                self.cursors[cpu].hint,
-            );
+            let (rec_cpu, seq, _complete) =
+                self.reader
+                    .read_record(k, &mut self.bytes, &mut self.words)?;
+            let parsed = parse_buffer(rec_cpu as usize, seq, &self.words, self.cursors[cpu].hint);
             self.cursors[cpu].hint = parsed.end_time.or(self.cursors[cpu].hint);
             self.cursors[cpu].current = parsed.events.into_iter();
         }

@@ -2,15 +2,32 @@
 //!
 //! Records are fixed-size, so the reader can jump straight to any record —
 //! and because each buffer begins with a time anchor, a cheap index from
-//! record number to start time is built by reading just three words per
+//! record number to start time is built by reading just two words per
 //! record. Displaying "a middle 5 seconds" of a huge trace therefore touches
-//! only the overlapping records ([`TraceFileReader::events_between`]).
+//! only the overlapping records.
+//!
+//! Two read paths share that index and one reusable record buffer:
+//!
+//! * [`TraceFileReader::load_into`] is the bulk path behind every full and
+//!   windowed load (`ktrace-query`'s file and stream sources, the collector
+//!   store, `analysis::Trace::from_file`). It walks each CPU's records in
+//!   file order with [`BufferWalk`], carrying the time hint across records,
+//!   and copies only the events it keeps straight into the caller's `Vec`:
+//!   one run per CPU, which the caller's stable sort merges. A windowed load
+//!   walks only the records whose anchor range can overlap the window (plus,
+//!   without copying, whatever an anchorless one takes its time hint from)
+//!   and copies only events inside it. An I/O error fails the load.
+//! * [`TraceFileReader::events`] is the streaming path: a k-way merge
+//!   ([`MergedEvents`]) that holds one parsed record per CPU, for callers
+//!   that must not hold the whole trace.
 
 use crate::error::IoError;
-use crate::file::{decode_record_header, FileHeader, RECORD_HEADER_BYTES};
+use crate::file::{
+    decode_record_header, FileHeader, FILE_MAGIC, FIXED_HEADER_BYTES, RECORD_HEADER_BYTES,
+    REGISTRY_LEN_OFFSET,
+};
 use crate::merge::MergedEvents;
-use ktrace_core::reader::{parse_buffer, GarbleNote, RawEvent};
-use ktrace_format::EventHeader;
+use ktrace_core::reader::{leading_anchor, parse_buffer, BufferWalk, GarbleNote, RawEvent};
 use std::io::{Read, Seek, SeekFrom};
 use std::path::Path;
 
@@ -58,20 +75,34 @@ impl TraceFileReader<std::io::BufReader<std::fs::File>> {
         path: impl AsRef<Path>,
     ) -> Result<TraceFileReader<std::io::BufReader<std::fs::File>>, IoError> {
         let file = std::fs::File::open(path)?;
-        TraceFileReader::new(std::io::BufReader::new(file))
+        // Every read here follows a seek: whole records and registries are
+        // read straight into the caller's buffer, and index reads want 40
+        // bytes, so a larger buffer would only copy bytes nobody reads.
+        let buffered = std::io::BufReader::with_capacity(RECORD_HEADER_BYTES + 16, file);
+        TraceFileReader::new(buffered)
     }
 }
 
 impl<R: Read + Seek> TraceFileReader<R> {
-    /// Wraps a seekable source, decoding the header eagerly.
+    /// Wraps a seekable source, decoding the header eagerly: the fixed part,
+    /// then exactly the registry text it declares.
     pub fn new(mut source: R) -> Result<TraceFileReader<R>, IoError> {
         let total = source.seek(SeekFrom::End(0))?;
         source.seek(SeekFrom::Start(0))?;
-        // Headers are small; read a generous prefix to decode from.
-        let prefix_len = total.min(1 << 20) as usize;
-        let mut prefix = vec![0u8; prefix_len];
-        source.read_exact(&mut prefix)?;
-        let (header, header_len) = FileHeader::decode(&prefix)?;
+        let mut bytes = vec![0u8; total.min(FIXED_HEADER_BYTES as u64) as usize];
+        source.read_exact(&mut bytes)?;
+        let registry_bytes = bytes
+            .get(REGISTRY_LEN_OFFSET..FIXED_HEADER_BYTES)
+            .map_or(0, |b| u64::from_le_bytes(b.try_into().expect("8 bytes")));
+        // Read the registry only from a trace file that holds all of it;
+        // otherwise decoding the fixed part alone reports the fault (bad
+        // magic or version, bad geometry, or the truncated registry).
+        if bytes.starts_with(&FILE_MAGIC) && registry_bytes <= total - bytes.len() as u64 {
+            let fixed = bytes.len();
+            bytes.resize(fixed + registry_bytes as usize, 0);
+            source.read_exact(&mut bytes[fixed..])?;
+        }
+        let (header, header_len) = FileHeader::decode(&bytes)?;
         let data_start = header_len as u64;
         let record_size = header.record_size() as u64;
         let data_bytes = total - data_start;
@@ -98,10 +129,6 @@ impl<R: Read + Seek> TraceFileReader<R> {
         self.record_count
     }
 
-    fn record_offset(&self, index: usize) -> u64 {
-        self.data_start + index as u64 * self.header.record_size() as u64
-    }
-
     fn check_index(&self, index: usize) -> Result<(), IoError> {
         if index >= self.record_count {
             return Err(IoError::RecordOutOfRange {
@@ -112,18 +139,40 @@ impl<R: Read + Seek> TraceFileReader<R> {
         Ok(())
     }
 
+    /// Reads the first `bytes.len()` bytes of record `index` into `bytes`.
+    fn read_at(&mut self, index: usize, bytes: &mut [u8]) -> Result<(), IoError> {
+        self.check_index(index)?;
+        let offset = self.data_start + index as u64 * self.header.record_size() as u64;
+        self.source.seek(SeekFrom::Start(offset))?;
+        self.source.read_exact(bytes)?;
+        Ok(())
+    }
+
+    /// Reads record `index` through `bytes` (one record long) into `words`:
+    /// one seek, one read, and no allocation once the buffers are sized.
+    /// Returns `(cpu, seq, complete)`.
+    pub(crate) fn read_record(
+        &mut self,
+        index: usize,
+        bytes: &mut [u8],
+        words: &mut Vec<u64>,
+    ) -> Result<(u32, u64, bool), IoError> {
+        self.read_at(index, bytes)?;
+        let identity = decode_record_header(bytes, index)?;
+        words.clear();
+        words.extend(
+            bytes[RECORD_HEADER_BYTES..]
+                .chunks_exact(8)
+                .map(|c| u64::from_le_bytes(c.try_into().expect("chunk of 8"))),
+        );
+        Ok(identity)
+    }
+
     /// Reads record `index` in full — a single seek, no scanning.
     pub fn record(&mut self, index: usize) -> Result<BufferRecord, IoError> {
-        self.check_index(index)?;
-        self.source
-            .seek(SeekFrom::Start(self.record_offset(index)))?;
         let mut bytes = vec![0u8; self.header.record_size()];
-        self.source.read_exact(&mut bytes)?;
-        let (cpu, seq, complete) = decode_record_header(&bytes, index)?;
-        let words = bytes[RECORD_HEADER_BYTES..]
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().expect("chunk of 8")))
-            .collect();
+        let mut words = Vec::new();
+        let (cpu, seq, complete) = self.read_record(index, &mut bytes, &mut words)?;
         Ok(BufferRecord {
             index,
             cpu,
@@ -133,30 +182,23 @@ impl<R: Read + Seek> TraceFileReader<R> {
         })
     }
 
-    /// Reads only a record's identity and anchor time (header + 3 words):
+    /// Reads only a record's identity and anchor time (header + 2 words):
     /// the cheap per-record metadata the time index is built from.
     pub fn record_meta(&mut self, index: usize) -> Result<(u32, u64, bool, Option<u64>), IoError> {
-        self.check_index(index)?;
-        self.source
-            .seek(SeekFrom::Start(self.record_offset(index)))?;
-        let mut bytes = vec![0u8; RECORD_HEADER_BYTES + 3 * 8];
-        self.source.read_exact(&mut bytes)?;
-        let (cpu, seq, complete) = decode_record_header(&bytes, index)?;
-        let w0 = u64::from_le_bytes(
-            bytes[RECORD_HEADER_BYTES..RECORD_HEADER_BYTES + 8]
-                .try_into()
-                .expect("8"),
-        );
-        let w1 = u64::from_le_bytes(
-            bytes[RECORD_HEADER_BYTES + 8..RECORD_HEADER_BYTES + 16]
-                .try_into()
-                .expect("8"),
-        );
-        let anchor = EventHeader::decode(w0)
-            .ok()
-            .filter(|h| h.is_time_anchor())
-            .map(|_| w1);
-        Ok((cpu, seq, complete, anchor))
+        let buffer_words = self.header.buffer_words as usize;
+        let mut bytes = [0u8; RECORD_HEADER_BYTES + 16];
+        let bytes = &mut bytes[..RECORD_HEADER_BYTES + 8 * buffer_words.min(2)];
+        self.read_at(index, bytes)?;
+        let (cpu, seq, complete) = decode_record_header(bytes, index)?;
+        let mut prefix = [0u64; 2];
+        for (w, c) in prefix
+            .iter_mut()
+            .zip(bytes[RECORD_HEADER_BYTES..].chunks_exact(8))
+        {
+            *w = u64::from_le_bytes(c.try_into().expect("chunk of 8"));
+        }
+        let prefix = &prefix[..buffer_words.min(2)];
+        Ok((cpu, seq, complete, leading_anchor(prefix, buffer_words)))
     }
 
     /// Decodes record `index` into events.
@@ -175,32 +217,57 @@ impl<R: Read + Seek> TraceFileReader<R> {
         MergedEvents::over_records(self, all)
     }
 
-    /// Events whose timestamps fall in `[t0, t1)`, touching only records
-    /// that can overlap the window (via the anchor-time index).
-    pub fn events_between(&mut self, t0: u64, t1: u64) -> Result<Vec<RawEvent>, IoError> {
-        // Build the cheap index: (cpu, record, anchor time).
+    /// The bulk path: appends the file's events to `out`, each CPU's
+    /// records in file order, with the time hint carried across records as
+    /// [`events`](Self::events) carries it. With `window = Some((t0, t1))`
+    /// only events with `t0 <= time < t1` are copied, and only records that
+    /// can hold one (or that an anchorless one takes its hint from) are
+    /// read; each copied event is the one a full load yields. An I/O error
+    /// fails the load instead of shortening it.
+    pub fn load_into(
+        &mut self,
+        window: Option<(u64, u64)>,
+        out: &mut Vec<RawEvent>,
+    ) -> Result<(), IoError> {
         let mut per_cpu: Vec<Vec<(usize, Option<u64>)>> =
             vec![Vec::new(); self.header.ncpus as usize];
         for k in 0..self.record_count {
             let (cpu, _seq, _complete, anchor) = self.record_meta(k)?;
-            if (cpu as usize) < per_cpu.len() {
-                per_cpu[cpu as usize].push((k, anchor));
+            if let Some(records) = per_cpu.get_mut(cpu as usize) {
+                records.push((k, anchor));
             }
         }
-        // A record spans [its anchor, next record-of-same-cpu's anchor).
-        let mut wanted = Vec::new();
+        let keep = |time: u64| window.is_none_or(|(t0, t1)| time >= t0 && time < t1);
+        let mut bytes = vec![0u8; self.header.record_size()];
+        let mut words = Vec::with_capacity(self.header.buffer_words as usize);
         for records in &per_cpu {
-            for (i, &(k, start)) in records.iter().enumerate() {
-                let start = start.unwrap_or(0);
-                let end = records.get(i + 1).and_then(|&(_, a)| a).unwrap_or(u64::MAX);
-                if start < t1 && end > t0 {
-                    wanted.push(k);
+            let mut hint = None;
+            for (&(k, _), step) in records.iter().zip(plan(records, window)) {
+                let Some(copy) = step else {
+                    hint = None;
+                    continue;
+                };
+                let (cpu, seq, _complete) = self.read_record(k, &mut bytes, &mut words)?;
+                let mut walk = BufferWalk::new(&words, hint);
+                for e in walk.by_ref() {
+                    if copy && keep(e.time) {
+                        out.push(e.to_raw(cpu as usize, seq));
+                    }
                 }
+                hint = walk.end_time().or(hint);
             }
         }
-        wanted.sort_unstable();
-        let merged = MergedEvents::over_records(self, wanted)?;
-        Ok(merged.filter(|e| e.time >= t0 && e.time < t1).collect())
+        Ok(())
+    }
+
+    /// Events whose timestamps fall in `[t0, t1)`, in timestamp order,
+    /// touching only records that can overlap the window (via the
+    /// anchor-time index).
+    pub fn events_between(&mut self, t0: u64, t1: u64) -> Result<Vec<RawEvent>, IoError> {
+        let mut events = Vec::new();
+        self.load_into(Some((t0, t1)), &mut events)?;
+        events.sort_by_key(|e| (e.time, e.cpu, e.seq, e.offset));
+        Ok(events)
     }
 
     /// Scans every record for garbling: drain-time commit mismatches and
@@ -223,13 +290,43 @@ impl<R: Read + Seek> TraceFileReader<R> {
     }
 }
 
+/// What [`TraceFileReader::load_into`] does with each of one CPU's records
+/// (`(index, anchor time)`, in file order): `Some(true)` walks it and copies
+/// events out, `Some(false)` walks it only for the time hint it hands on,
+/// `None` skips it.
+///
+/// A full load copies every record. A windowed load copies the records
+/// whose span meets `[t0, t1)`: from their anchor (0 without one) up to
+/// and including the next record's anchor (open-ended without one), since a
+/// buffer's last events may carry the next anchor's exact time. A copied
+/// record without an anchor takes its time from the records before it, so
+/// those are walked back to the nearest anchored one, whose times need no
+/// hint.
+fn plan(records: &[(usize, Option<u64>)], window: Option<(u64, u64)>) -> Vec<Option<bool>> {
+    let Some((t0, t1)) = window else {
+        return vec![Some(true); records.len()];
+    };
+    let mut plan = vec![None; records.len()];
+    let mut need_hint = false;
+    for i in (0..records.len()).rev() {
+        let start = records[i].1.unwrap_or(0);
+        let end = records.get(i + 1).and_then(|r| r.1).unwrap_or(u64::MAX);
+        let copy = start < t1 && end >= t0;
+        if copy || need_hint {
+            plan[i] = Some(copy);
+            need_hint = records[i].1.is_none();
+        }
+    }
+    plan
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::writer::TraceFileWriter;
     use ktrace_clock::ManualClock;
     use ktrace_core::{TraceConfig, TraceLogger};
-    use ktrace_format::{EventRegistry, MajorId};
+    use ktrace_format::{EventDescriptor, EventRegistry, MajorId};
     use std::io::Cursor;
     use std::sync::Arc;
 
@@ -370,6 +467,53 @@ mod tests {
             .notes
             .iter()
             .any(|n| matches!(n, GarbleNote::ZeroHeader { .. }))));
+    }
+
+    #[test]
+    fn registry_larger_than_a_mebibyte_round_trips() {
+        let mut registry = EventRegistry::with_builtin();
+        let template = format!("{} %0[%d]", "x".repeat(60));
+        for minor in 0..16_000u16 {
+            registry.register(
+                MajorId::TEST,
+                minor,
+                EventDescriptor::new(&format!("TRACE_TEST_{minor:05}"), "64", &template).unwrap(),
+            );
+        }
+        let header = FileHeader {
+            ncpus: 1,
+            buffer_words: 64,
+            ticks_per_sec: 1_000,
+            clock_synchronized: false,
+            registry,
+        };
+        let encoded = header.encode();
+        assert!(encoded.len() > 1 << 20, "{} bytes", encoded.len());
+        let bytes = TraceFileWriter::new(Vec::new(), &header)
+            .unwrap()
+            .finish()
+            .unwrap();
+        let r = TraceFileReader::new(Cursor::new(&bytes[..])).unwrap();
+        assert_eq!(r.record_count(), 0);
+        assert_eq!(r.header().registry.len(), header.registry.len());
+        assert!(r.header().registry.lookup(MajorId::TEST, 15_999).is_some());
+        // A registry that runs past the end of the file is refused.
+        let cut = &bytes[..bytes.len() - 1];
+        assert!(matches!(
+            TraceFileReader::new(Cursor::new(cut)),
+            Err(IoError::BadHeader("registry text truncated"))
+        ));
+        // Header faults still come first.
+        let mut bad = cut.to_vec();
+        bad[0] = b'X';
+        assert!(matches!(
+            TraceFileReader::new(Cursor::new(bad)),
+            Err(IoError::BadMagic)
+        ));
+        assert!(matches!(
+            TraceFileReader::new(Cursor::new(&bytes[..20])),
+            Err(IoError::BadHeader("file shorter than fixed header"))
+        ));
     }
 
     #[test]

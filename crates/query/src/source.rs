@@ -10,6 +10,9 @@
 //!
 //! Every source yields an [`EventSet`]: events normalized into
 //! `(time, cpu, seq, offset)` order plus the registry and clock rate. The
+//! strict sources read through [`EventSet::read`], the reader's bulk path:
+//! it copies out only the events a load keeps, one time-ordered run per
+//! CPU, and fails rather than return a set an I/O error cut short. The
 //! contract sources must honor: **the data events** (everything outside the
 //! `CONTROL` major) **of one underlying trace are identical through every
 //! source that can see the whole trace**. Control events are transport
@@ -22,7 +25,7 @@ use ktrace_core::TraceLogger;
 use ktrace_format::EventRegistry;
 use ktrace_io::{salvage_bytes, IoError, TraceFileReader};
 use std::fmt;
-use std::io::Cursor;
+use std::io::{Cursor, Read, Seek};
 use std::path::{Path, PathBuf};
 
 /// Why a source could not be read.
@@ -65,8 +68,10 @@ pub struct EventSet {
 
 impl EventSet {
     /// Builds a set, normalizing event order. Sources differ in raw order
-    /// (k-way merge vs. per-buffer dump vs. salvage resync); one canonical
-    /// order makes query results source-independent.
+    /// (one run per CPU and shard vs. per-buffer dump vs. salvage resync);
+    /// one canonical order makes query results source-independent. The sort
+    /// is stable and merges already-ordered runs, so events equal in every
+    /// key (the same CPU and buffer on two nodes) keep their input order.
     pub fn new(mut events: Vec<RawEvent>, registry: EventRegistry, ticks_per_sec: u64) -> EventSet {
         events.sort_by_key(|e| (e.time, e.cpu, e.seq, e.offset));
         EventSet {
@@ -74,6 +79,23 @@ impl EventSet {
             registry,
             ticks_per_sec,
         }
+    }
+
+    /// Loads a strict reader's events through its bulk path
+    /// ([`TraceFileReader::load_into`]): all of them, or only those with
+    /// `t0 <= time < t1` when `window` is `Some((t0, t1))`.
+    pub fn read<R: Read + Seek>(
+        reader: &mut TraceFileReader<R>,
+        window: Option<(u64, u64)>,
+    ) -> Result<EventSet, IoError> {
+        let mut events = Vec::new();
+        reader.load_into(window, &mut events)?;
+        let header = reader.header();
+        Ok(EventSet::new(
+            events,
+            header.registry.clone(),
+            header.ticks_per_sec,
+        ))
     }
 
     /// Events outside the `CONTROL` major: no anchors, fillers, drop
@@ -147,21 +169,17 @@ impl TraceSource for FileSource {
     }
 
     fn load(&mut self) -> Result<EventSet, QueryError> {
-        let mut reader = TraceFileReader::open(&self.path)?;
-        let registry = reader.header().registry.clone();
-        let tps = reader.header().ticks_per_sec;
-        let events: Vec<RawEvent> = reader.events()?.collect();
-        Ok(EventSet::new(events, registry, tps))
+        Ok(EventSet::read(
+            &mut TraceFileReader::open(&self.path)?,
+            None,
+        )?)
     }
 
     /// Seeks via each record's time anchor (§3.2): only records whose
     /// anchor range can overlap `[t0, t1)` are decoded.
     fn load_window(&mut self, t0: u64, t1: u64) -> Result<EventSet, QueryError> {
         let mut reader = TraceFileReader::open(&self.path)?;
-        let registry = reader.header().registry.clone();
-        let tps = reader.header().ticks_per_sec;
-        let events = reader.events_between(t0, t1)?;
-        Ok(EventSet::new(events, registry, tps))
+        Ok(EventSet::read(&mut reader, Some((t0, t1)))?)
     }
 }
 
@@ -266,10 +284,7 @@ impl TraceSource for StreamSource {
 
     fn load(&mut self) -> Result<EventSet, QueryError> {
         let mut reader = TraceFileReader::new(Cursor::new(&self.bytes[..]))?;
-        let registry = reader.header().registry.clone();
-        let tps = reader.header().ticks_per_sec;
-        let events: Vec<RawEvent> = reader.events()?.collect();
-        Ok(EventSet::new(events, registry, tps))
+        Ok(EventSet::read(&mut reader, None)?)
     }
 }
 

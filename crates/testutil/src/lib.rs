@@ -8,17 +8,26 @@
 //! each test hand-rolled its own copy; now `tests/network_stream.rs` and
 //! the `ktrace-collectd` suites share one implementation.
 //!
+//! It also makes the seeded, fault-injected random traces the decode
+//! equivalence tests compare read paths over ([`random_trace`]).
+//!
 //! This crate is test support: it never appears in a non-dev dependency
 //! edge, and nothing here is tuned for performance.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use ktrace_clock::ManualClock;
 use ktrace_core::reader::RawEvent;
-use ktrace_io::{salvage_bytes, SalvageReport, TraceFileReader};
+use ktrace_core::{TraceConfig, TraceLogger};
+use ktrace_format::{EventRegistry, MajorId};
+use ktrace_io::{salvage_bytes, FileHeader, SalvageReport, TraceFileReader, TraceFileWriter};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::io::Read as _;
 use std::net::{SocketAddr, TcpListener};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 
 /// A loopback TCP endpoint that accepts **one** connection and accumulates
@@ -112,6 +121,70 @@ pub fn assert_salvage_matches_strict(bytes: &[u8]) -> SalvageReport {
     let strict = strict_events(bytes);
     assert_eq!(report.events, strict, "salvage must equal the strict merge");
     report
+}
+
+/// A seeded random multi-CPU trace file image carrying the damage readers
+/// must decode around, injected through the `ktrace-core` fault hooks:
+/// reservations abandoned mid-buffer (a zero header that ends the buffer's
+/// decode) and buffers whose time anchor is defaced into an ordinary control
+/// event (no anchor, so times come from the previous buffer's hint). It also
+/// carries HEARTBEATs, payloads of 0–6 words, and a clock that wraps its
+/// 32-bit stamps partway through.
+pub fn random_trace(seed: u64, ncpus: usize, events: usize) -> Vec<u8> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let config = TraceConfig::small();
+    let bw = config.buffer_words as u64;
+    let clock = Arc::new(ManualClock::new(0xffff_f000 - rng.gen_range(0u64..4096), 7));
+    let logger = TraceLogger::builder()
+        .geometry(config)
+        .clock(clock)
+        .ncpus(ncpus)
+        .build()
+        .expect("logger");
+    let header = FileHeader {
+        ncpus: ncpus as u32,
+        buffer_words: bw as u32,
+        ticks_per_sec: 1_000_000_000,
+        clock_synchronized: true,
+        registry: EventRegistry::with_builtin(),
+    };
+    let mut writer = TraceFileWriter::new(Vec::new(), &header).expect("writer");
+    for _ in 0..events {
+        let cpu = rng.gen_range(0..ncpus);
+        match rng.gen_range(0u32..100) {
+            0..=2 => {
+                logger.log_heartbeat(cpu);
+            }
+            3 => {
+                logger.fault_abandon_reservation(cpu, rng.gen_range(1usize..4));
+            }
+            _ => {
+                let payload: Vec<u64> = (0..rng.gen_range(0usize..7)).map(|_| rng.gen()).collect();
+                let major = MajorId::new(rng.gen_range(1u8..8)).expect("major");
+                logger.handle(cpu).expect("handle").log_slice(
+                    major,
+                    rng.gen_range(0u16..4),
+                    &payload,
+                );
+            }
+        }
+        for c in 0..ncpus {
+            while let Some(b) = logger.take_buffer(c) {
+                // Buffer `seq + 1` has begun (its anchor is what closed this
+                // one); flip a minor bit of that anchor's header.
+                if rng.gen_bool(0.2) {
+                    logger.fault_corrupt_word(c, (b.seq + 1) * bw, 0x8000);
+                }
+                writer.write_buffer(&b).expect("write");
+            }
+        }
+    }
+    for bufs in logger.drain_all() {
+        for b in bufs {
+            writer.write_buffer(&b).expect("write");
+        }
+    }
+    writer.finish().expect("finish")
 }
 
 #[cfg(test)]
